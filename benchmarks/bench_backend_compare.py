@@ -1,11 +1,13 @@
-"""Micro-benchmark: dict-Graph backend vs CSR-view backend, serial vs parallel.
+"""Micro-benchmark: dict-Graph vs CSR-view peeling, kernels, serial vs parallel.
 
-Times the operations the last two tentpole refactors target, on mid-size
-generator graphs:
+Times the enumeration pipeline and its parts on mid-size generator
+graphs:
 
-* **peel** - k-core peeling (``peel_in_place`` on a fresh dict copy vs
-  ``SubgraphView.peel`` on a fresh view over a shared CSR base);
-* **enumerate** - the full ``enumerate_kvccs`` pipeline per backend;
+* **peel** - k-core peeling (``peel_in_place`` on a fresh dict copy, as
+  the baselines run it, vs ``SubgraphView.peel`` on a fresh view over a
+  shared CSR base, as KVCC-ENUM runs it);
+* **enumerate** - the full ``enumerate_kvccs`` pipeline, with its
+  per-stage breakdown and one row per kernel implementation;
 * **serial vs parallel** - the CSR pipeline under the serial engine vs
   the ``--workers N`` process-pool engine, on the single-component
   web-graph stand-in (pessimal: little fan-out before the first cuts)
@@ -19,13 +21,14 @@ can execute it without extra plugins)::
     PYTHONPATH=src python benchmarks/bench_backend_compare.py --quick
     PYTHONPATH=src python benchmarks/bench_backend_compare.py --workers 4
 
-The acceptance bar for the CSR refactor is >= 1.5x over dict on the
-web graph; for the parallel engine it is >= 1.5x over serial CSR on the
-sharded workload *on machines exposing >= 2 CPUs* (the single-component
+The acceptance bar for the parallel engine is >= 1.5x over serial on
+the sharded workload *on machines exposing >= 2 CPUs* (the single-component
 web graph is documented as too serial to benefit - its first GLOBAL-CUT
 dominates the critical path - and on a single-CPU machine the parallel
 rows degrade to an equivalence check plus an overhead measurement and
-are not gated).  Measured numbers are recorded in CHANGES.md.
+are not gated); the kernel rows are gated against the committed
+``BENCH_baseline.json`` snapshot.  Measured numbers are recorded in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -40,11 +43,7 @@ from repro.core.kvcc import enumerate_kvccs
 from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
 from repro.graph.core_decomposition import peel_in_place
-from repro.graph.generators import (
-    assemble_communities,
-    ring_of_cliques,
-    web_graph,
-)
+from repro.graph.generators import assemble_communities, web_graph
 from repro.graph.graph import Graph
 
 #: Stage keys reported by ``RunStats.stage_seconds`` (see
@@ -86,34 +85,25 @@ def bench_peel(graph: Graph, k: int, repeats: int) -> tuple:
 
 
 def bench_enumerate(graph: Graph, k: int, repeats: int) -> tuple:
-    """Returns ``(t_dict, t_csr, stages)``.
+    """Returns ``(t_csr, stages)``.
 
     ``stages`` is the per-stage wall-clock breakdown (``peel`` /
-    ``certificate`` / ``flow``, in seconds) of the *fastest* CSR repeat,
-    so the attribution matches the reported total rather than a noisier
+    ``certificate`` / ``flow``, in seconds) of the *fastest* repeat, so
+    the attribution matches the reported total rather than a noisier
     slow run.
     """
-    dict_opts = KVCCOptions(backend="dict")
-    csr_opts = KVCCOptions(backend="csr")
-
-    t_dict = _time(lambda: enumerate_kvccs(graph, k, dict_opts), repeats)
-
     t_csr = float("inf")
     stages = {stage: 0.0 for stage in STAGES}
     for _ in range(repeats):
         stats = RunStats(k=k)
         start = time.perf_counter()
-        enumerate_kvccs(graph, k, csr_opts, stats)
+        enumerate_kvccs(graph, k, KVCCOptions(), stats)
         elapsed = time.perf_counter() - start
         if elapsed < t_csr:
             t_csr = elapsed
             for stage in STAGES:
                 stages[stage] = stats.stage_seconds.get(stage, 0.0)
-
-    n_dict = len(enumerate_kvccs(graph, k, dict_opts))
-    n_csr = len(enumerate_kvccs(graph, k, csr_opts))
-    assert n_dict == n_csr, f"backends disagree: {n_dict} != {n_csr}"
-    return t_dict, t_csr, stages
+    return t_csr, stages
 
 
 def bench_kernels(graph: Graph, k: int, repeats: int) -> dict:
@@ -124,7 +114,7 @@ def bench_kernels(graph: Graph, k: int, repeats: int) -> dict:
     because the baseline gate compares these numbers against a committed
     snapshot.  Returns ``{kernel_name: best_seconds}``.
     """
-    opts = KVCCOptions(backend="csr")
+    opts = KVCCOptions()
     names = list(kernels.available())
     best = {name: float("inf") for name in names}
     counts = {}
@@ -150,8 +140,8 @@ def load_baseline() -> dict:
 
 def bench_parallel(graph: Graph, k: int, workers: int, repeats: int) -> tuple:
     """Serial CSR enumerate vs the process-pool engine on the same graph."""
-    serial_opts = KVCCOptions(backend="csr")
-    par_opts = KVCCOptions(backend="csr", workers=workers)
+    serial_opts = KVCCOptions()
+    par_opts = KVCCOptions(workers=workers)
 
     # Capture the last timed run's result so the equivalence assertion
     # below does not cost two extra full enumerations.
@@ -277,15 +267,9 @@ def main() -> int:
     record("peel_csr_ms", t_csr * 1e3, "ms", graph.num_vertices)
     record("peel_speedup", t_dict / t_csr, "x", graph.num_vertices)
 
-    t_dict, t_csr, stages = bench_enumerate(graph, k, repeats)
-    speedup = t_dict / t_csr
-    print(
-        f"enumerate (k={k}):    dict {t_dict * 1e3:8.1f} ms   "
-        f"csr {t_csr * 1e3:8.1f} ms   speedup {speedup:5.2f}x"
-    )
-    record("enumerate_dict_ms", t_dict * 1e3, "ms", graph.num_vertices)
+    t_csr, stages = bench_enumerate(graph, k, repeats)
+    print(f"enumerate (k={k}):    csr {t_csr * 1e3:8.1f} ms")
     record("enumerate_csr_ms", t_csr * 1e3, "ms", graph.num_vertices)
-    record("enumerate_speedup", speedup, "x", graph.num_vertices)
 
     # Per-stage attribution of the fastest CSR run (kernel wins show up
     # as movement in exactly one of these rows).
@@ -299,7 +283,7 @@ def main() -> int:
                graph.num_vertices)
 
     # Kernel rows: the same serial CSR enumerate, pinned per kernel.
-    # More repeats than the backend rows because the baseline gate
+    # More repeats than the rows above because the baseline gate
     # below compares these against a committed snapshot and the bar is
     # tight relative to machine noise.
     kernel_repeats = repeats if args.quick else max(repeats, 9)
@@ -312,7 +296,7 @@ def main() -> int:
         record(f"enumerate_csr_{name}_ms", seconds * 1e3, "ms",
                graph.num_vertices)
 
-    # Serial-vs-parallel column (same CSR backend, engine differs).
+    # Serial-vs-parallel column (same pipeline, engine differs).
     t_ser, t_par = bench_parallel(graph, k, workers, repeats)
     par_speedup = t_ser / t_par
     print(
@@ -344,22 +328,9 @@ def main() -> int:
             "engine equivalence and measure dispatch overhead"
         )
 
-    if not args.quick:
-        # Secondary series: a partition-heavy shape (many small parts,
-        # worst case for mask-based views) to keep the comparison honest.
-        ring = ring_of_cliques(num_cliques=60, clique_size=12)
-        t_dict2, t_csr2, _ = bench_enumerate(ring, 6, repeats)
-        print(
-            f"enumerate ring60x12 (k=6): dict {t_dict2 * 1e3:8.1f} ms   "
-            f"csr {t_csr2 * 1e3:8.1f} ms   speedup {t_dict2 / t_csr2:5.2f}x"
-        )
-
     flush_json()
 
     failed = False
-    if not args.quick and speedup < 1.5:
-        print("WARNING: CSR speedup below the 1.5x acceptance bar")
-        failed = True
     if not args.quick and cpus >= 2 and shard_speedup < 1.5:
         # The parallel bar only applies where parallelism is possible;
         # on a single-CPU machine the rows above degrade to an overhead

@@ -7,7 +7,7 @@ k at which they still belong to a k-vertex-connected group.  The
 vcc-number is to vertex connectivity what the core number is to degree,
 and is never larger (Whitney / Theorem 3).
 
-The construction runs on the CSR backend: one shared immutable base,
+The construction interns the graph once into an immutable CSR base,
 each level's components re-entered as zero-copy mask views (pass
 ``KVCCOptions(workers=N)`` to fan a level's independent components out
 across processes).  The second half shows the serving pattern: persist
@@ -41,7 +41,7 @@ def main() -> None:
 
     # One shared CSR base, zero-copy level views; add workers=N here to
     # parallelize each level's independent parent components.
-    hierarchy = build_hierarchy(graph, options=KVCCOptions(backend="csr"))
+    hierarchy = build_hierarchy(graph, options=KVCCOptions())
     print(f"hierarchy: {len(hierarchy)} components across "
           f"levels 1..{hierarchy.max_k}")
     series = {"#k-VCCs": []}

@@ -35,30 +35,20 @@ _QUERY_OPTIONS = KVCCOptions(
 
 
 def _query_options(options: Optional[KVCCOptions]) -> KVCCOptions:
-    """The tuned single-query preset, adopting only the *execution*
-    fields (``backend``, ``workers``, ``seed``) of a caller-provided
-    options object.
+    """The tuned single-query preset, adopting only the ``seed`` of a
+    caller-provided options object.
 
     Callers pass options here to standardize on one engine-configured
     object across enumeration and query calls; silently re-enabling the
     sweep machinery the preset deliberately turns off (it only costs
     time when each answer is computed once) would be an unrequested
-    slowdown, so the strategy switches are *not* taken over.
-
-    Of the adopted fields only ``seed`` changes today's behavior: a
-    query is a single GLOBAL-CUT call, which runs on whatever graph
-    representation it is handed and never spawns an engine, so
-    ``backend`` and ``workers`` are carried for API symmetry and for
-    any future enumeration-backed query path, not for effect.
+    slowdown, so the strategy switches are *not* taken over.  Nor is
+    ``workers``: a query is a single GLOBAL-CUT call that never spawns
+    an engine.  Only the ``seed`` tie-break is adopted.
     """
     if options is None:
         return _QUERY_OPTIONS
-    return dataclasses.replace(
-        _QUERY_OPTIONS,
-        backend=options.backend,
-        workers=options.workers,
-        seed=options.seed,
-    )
+    return dataclasses.replace(_QUERY_OPTIONS, seed=options.seed)
 
 
 def is_k_connected(
@@ -69,9 +59,9 @@ def is_k_connected(
 
     ``k = 0`` is satisfied by any non-empty graph.  ``options`` lets
     callers standardize on one configured object across enumeration and
-    query calls - see :func:`_query_options` for exactly which fields a
-    query adopts (in practice only ``seed``); the strategy switches
-    always stay at the minimal single-query configuration.
+    query calls - a query adopts only its ``seed`` (see
+    :func:`_query_options`); the strategy switches always stay at the
+    minimal single-query configuration.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")

@@ -85,8 +85,8 @@ def is_strong_side_vertex(graph: Graph, u: Vertex, k: int) -> bool:
 def _is_strong_side_vertex_view(view: SubgraphView, u: int, k: int) -> bool:
     """Theorem 8 over a CSR view.
 
-    The dict backend checks pair adjacency against live neighbor sets;
-    a view has no sets to borrow, so this path builds each anchor's
+    The dict-graph path checks pair adjacency against live neighbor
+    sets; a view has no sets to borrow, so this path builds each anchor's
     active neighbor set once (O(d)) and its k-common-partner set lazily
     on the first non-adjacent pair.  (The subgraph-wide scan in
     :func:`_strong_side_vertices_view` additionally shares those sets
@@ -201,13 +201,14 @@ def _strong_side_vertices_view(
 
 
 def split_inheritance(
-    parent: Graph,
-    child: Graph,
-    parent_strong: Set[Vertex],
+    parent: SubgraphView,
+    child: SubgraphView,
+    parent_strong: Set[int],
 ) -> tuple:
     """Partition the parent's strong set for a child subgraph.
 
-    Returns ``(inherited, recheck)``:
+    ``parent`` and ``child`` are views on one base, the child's active
+    set a subset of the parent's.  Returns ``(inherited, recheck)``:
 
     * ``inherited`` - vertices provably still strong in ``child``: their
       degree and all their neighbors' degrees match the parent's, so the
@@ -218,31 +219,6 @@ def split_inheritance(
     Vertices that were not strong in the parent are in neither set
     (Lemma 15's candidate restriction).
     """
-    if isinstance(parent, SubgraphView) and isinstance(child, SubgraphView):
-        return _split_inheritance_view(parent, child, parent_strong)
-    inherited: Set[Vertex] = set()
-    recheck: Set[Vertex] = set()
-    for v in parent_strong:
-        if v not in child:
-            continue
-        if child.degree(v) != parent.degree(v):
-            recheck.add(v)
-            continue
-        # child is an induced subgraph of parent: equal degree implies an
-        # identical neighbor set, so only neighbor degrees remain to check.
-        if all(child.degree(w) == parent.degree(w) for w in child.neighbors(v)):
-            inherited.add(v)
-        else:
-            recheck.add(v)
-    return inherited, recheck
-
-
-def _split_inheritance_view(
-    parent: SubgraphView,
-    child: SubgraphView,
-    parent_strong: Set[int],
-) -> tuple:
-    """Array-based :func:`split_inheritance` for two views on one base."""
     inherited: Set[int] = set()
     recheck: Set[int] = set()
     rows = parent.base.rows

@@ -117,9 +117,9 @@ def k_core_vertices(graph: Graph, k: int) -> Set[Vertex]:
 def peel_in_place(graph: Graph, k: int) -> Set[Vertex]:
     """Remove vertices of degree < k *in place*; return the removed set.
 
-    ``KVCC-ENUM`` uses this on the working copies (dict backend) or
-    worklist views (CSR backend) it owns, avoiding a second full-graph
-    allocation per recursion level.  Accepts either a :class:`Graph` or
+    ``KVCC-ENUM`` uses this on the worklist views it owns, avoiding a
+    second full-graph allocation per recursion level; the baselines use
+    it on their own :class:`Graph` copies.  Accepts either a :class:`Graph` or
     a :class:`~repro.graph.csr.SubgraphView`; for views the peeling is
     pure integer/byte-mask arithmetic on the shared CSR base.
     """

@@ -1,12 +1,12 @@
-"""Backend parity: the CSR-view path must equal the dict path exactly.
+"""Parity of the CSR-view enumeration with the brute-force oracle.
 
-The tentpole refactor reroutes the whole KVCC-ENUM stack (peel,
-certificate, flow, sweeps, partition) through CSR subgraph views.  The
-k-VCC decomposition of a graph is canonical - it does not depend on
-which cuts the algorithm happens to find first - so for every input and
-every k the two backends must return the *identical* family of vertex
-sets, and on small inputs both must agree with the brute-force oracle
-in ``repro.baselines.naive``.
+KVCC-ENUM runs its whole stack (peel, certificate, flow, sweeps,
+partition) on CSR subgraph views.  The k-VCC decomposition of a graph
+is canonical - it does not depend on which cuts the algorithm happens
+to find first - so for every input and every k the result must be the
+*identical* family of vertex sets that the brute-force oracle in
+``repro.baselines.naive`` finds on the labeled dict :class:`Graph`
+(exhaustive cut search, no flow, certificate, sweeps or CSR).
 
 Hypothesis drives random connected graphs across k in {2, 3, 4};
 deterministic cases cover the structured generators, string labels
@@ -16,14 +16,11 @@ invariants.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.naive import naive_kvccs
 from repro.core.kvcc import enumerate_kvccs, kvcc_vertex_sets
-from repro.core.options import KVCCOptions
 from repro.core.variants import VARIANTS
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
@@ -36,15 +33,11 @@ from repro.graph.views import relabel
 
 from helpers import random_connected_graph, vertex_set_family
 
-CSR = KVCCOptions(backend="csr")
-DICT = KVCCOptions(backend="dict")
-
-
 def families(graph, k):
-    """(csr family, dict family) for one input."""
+    """(CSR-view family, brute-force oracle family) for one input."""
     return (
-        vertex_set_family(enumerate_kvccs(graph, k, CSR)),
-        vertex_set_family(enumerate_kvccs(graph, k, DICT)),
+        vertex_set_family(enumerate_kvccs(graph, k)),
+        vertex_set_family(naive_kvccs(graph, k)),
     )
 
 
@@ -56,11 +49,10 @@ class TestPropertyParity:
         seed=st.integers(min_value=0, max_value=10_000),
         k=st.integers(min_value=2, max_value=4),
     )
-    def test_csr_equals_dict_and_naive(self, n, p, seed, k):
+    def test_csr_equals_naive(self, n, p, seed, k):
         g = random_connected_graph(n, p, seed)
-        csr_fam, dict_fam = families(g, k)
-        assert csr_fam == dict_fam
-        assert csr_fam == vertex_set_family(naive_kvccs(g, k))
+        csr_fam, naive_fam = families(g, k)
+        assert csr_fam == naive_fam
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -73,8 +65,8 @@ class TestPropertyParity:
         """Relabeled vertices exercise the interner boundary."""
         g = random_connected_graph(n, p, seed)
         named = relabel(g, {v: f"v{v}" for v in g.vertices()})
-        csr_fam, dict_fam = families(named, k)
-        assert csr_fam == dict_fam
+        csr_fam, naive_fam = families(named, k)
+        assert csr_fam == naive_fam
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -84,45 +76,38 @@ class TestPropertyParity:
         k=st.integers(min_value=2, max_value=4),
     )
     def test_parity_across_variants(self, n, p, seed, k):
-        """All four paper variants agree on both backends."""
+        """All four paper variants agree with the oracle."""
         g = random_connected_graph(n, p, seed)
-        reference = None
-        for options in VARIANTS.values():
-            for backend in ("csr", "dict"):
-                fam = vertex_set_family(
-                    enumerate_kvccs(
-                        g, k, dataclasses.replace(options, backend=backend)
-                    )
-                )
-                if reference is None:
-                    reference = fam
-                assert fam == reference
+        reference = vertex_set_family(naive_kvccs(g, k))
+        for name, options in VARIANTS.items():
+            fam = vertex_set_family(enumerate_kvccs(g, k, options))
+            assert fam == reference, name
 
 
 class TestStructuredParity:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_ring_of_cliques(self, k):
         g = ring_of_cliques(num_cliques=5, clique_size=6)
-        csr_fam, dict_fam = families(g, k)
-        assert csr_fam == dict_fam
+        csr_fam, naive_fam = families(g, k)
+        assert csr_fam == naive_fam
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_overlapping_cliques(self, k):
         g = overlapping_cliques_graph(clique_size=6, num_cliques=3, overlap=2)
-        csr_fam, dict_fam = families(g, k)
-        assert csr_fam == dict_fam
+        csr_fam, naive_fam = families(g, k)
+        assert csr_fam == naive_fam
 
     def test_planted_blocks(self):
         g, blocks = planted_kvcc_graph(
             k=4, num_blocks=4, block_size=7, overlap=2, seed=7
         )
-        csr_fam, dict_fam = families(g, 4)
-        assert csr_fam == dict_fam == vertex_set_family(blocks)
+        csr_fam, naive_fam = families(g, 4)
+        assert csr_fam == naive_fam == vertex_set_family(blocks)
 
     def test_disconnected_input(self):
         g = Graph([(0, 1), (1, 2), (2, 0), (5, 6), (6, 7), (7, 5)])
-        csr_fam, dict_fam = families(g, 2)
-        assert csr_fam == dict_fam == {
+        csr_fam, naive_fam = families(g, 2)
+        assert csr_fam == naive_fam == {
             frozenset({0, 1, 2}),
             frozenset({5, 6, 7}),
         }
@@ -130,7 +115,7 @@ class TestStructuredParity:
     def test_returned_graphs_are_independent(self):
         """CSR-path results are materialized copies, not live views."""
         g = ring_of_cliques(num_cliques=4, clique_size=5)
-        parts = enumerate_kvccs(g, 4, CSR)
+        parts = enumerate_kvccs(g, 4)
         assert len(parts) == 4
         vertex = next(iter(parts[0].vertices()))
         parts[0].remove_vertex(vertex)
@@ -140,7 +125,7 @@ class TestStructuredParity:
 
     def test_vertex_sets_helper_uses_csr_default(self):
         g = ring_of_cliques(num_cliques=4, clique_size=5)
-        assert vertex_set_family(kvcc_vertex_sets(g, 4)) == families(g, 4)[0]
+        assert vertex_set_family(kvcc_vertex_sets(g, 4)) == families(g, 4)[1]
 
 
 class TestCsrStructure:

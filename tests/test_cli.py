@@ -92,11 +92,16 @@ class TestHierarchyCommand:
         ) == 0
         assert "vcc-number(0)" in capsys.readouterr().out
 
-    def test_dict_backend_same_levels(self, graph_file, capsys):
-        assert main(
-            ["hierarchy", graph_file, "--max-k", "4", "--backend", "dict"]
-        ) == 0
-        assert "k=4: 4 component(s)" in capsys.readouterr().out
+    def test_backend_flag_rejected(self, graph_file, capsys):
+        """There is one engine path, so neither command takes --backend."""
+        for argv in (
+            ["hierarchy", graph_file, "--max-k", "4", "--backend", "dict"],
+            ["kvcc", graph_file, "-k", "4", "--backend", "csr"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "--backend" in capsys.readouterr().err
 
     def test_save_index(self, graph_file, tmp_path, capsys):
         index_file = tmp_path / "g.kvccidx"

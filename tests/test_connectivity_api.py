@@ -162,16 +162,16 @@ def test_vertex_connectivity_property(seed):
 
 
 class TestQueryOptionsWiring:
-    """The options passthrough added with the execution-engine PR."""
+    """How a caller's options reach a single connectivity query."""
 
     def test_query_options_adopts_only_execution_fields(self):
         from repro.core.connectivity_api import _query_options
         from repro.core.options import KVCCOptions
 
-        merged = _query_options(KVCCOptions(backend="dict", workers=4, seed=9))
-        assert merged.backend == "dict"
-        assert merged.workers == 4
+        merged = _query_options(KVCCOptions(workers=4, seed=9))
         assert merged.seed == 9
+        # A query never spawns an engine: workers is not taken over.
+        assert merged.workers == 1
         # The single-query preset's strategy switches must survive.
         assert not merged.neighbor_sweep
         assert not merged.group_sweep
@@ -181,7 +181,7 @@ class TestQueryOptionsWiring:
     def test_answers_independent_of_options(self):
         from repro.core.options import KVCCOptions
 
-        configured = KVCCOptions(backend="dict", workers=2)
+        configured = KVCCOptions(workers=2, seed=5)
         for seed in range(3):
             g = random_connected_graph(9, 0.4, seed=seed + 7)
             assert vertex_connectivity(g, configured) == vertex_connectivity(g)

@@ -1,6 +1,6 @@
 """Serial/parallel execution-engine equivalence (repro.core.engine).
 
-The contract under test: for any graph, k, backend and worker count,
+The contract under test: for any graph, k and worker count,
 ``enumerate_kvccs`` returns
 
 * the identical family of k-VCC vertex sets,
@@ -10,9 +10,11 @@ The contract under test: for any graph, k, backend and worker count,
   (:meth:`RunStats.counters`), and per-task stats that merge cleanly.
 
 Graphs come from the shared seeded generators (``tests/helpers.py`` and
-``repro.graph.generators``); every case is exercised on both the CSR
-and dict backends.  Process pools are real (no mocks), so these tests
-also cover the pickle paths of :mod:`repro.graph.csr`.
+``repro.graph.generators``); every case is exercised through both entry
+points: ``enumerate_kvccs`` on a labeled :class:`Graph` (materialized
+leaves) and ``enumerate_kvccs_csr`` on a prebuilt CSR base (member-id
+leaves).  Process pools are real (no mocks), so these tests also cover
+the pickle paths of :mod:`repro.graph.csr`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ from repro.core.engine import (
     create_engine,
     expand_work_item,
 )
-from repro.core.kvcc import enumerate_kvccs, kvcc_vertex_sets
+from repro.core.kvcc import (
+    enumerate_kvccs,
+    enumerate_kvccs_csr,
+    kvcc_vertex_sets,
+)
 from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
 from repro.graph.generators import (
@@ -38,7 +44,9 @@ from repro.graph.generators import (
     web_graph,
 )
 
-BACKENDS = ("csr", "dict")
+#: Entry points: ``graph`` = enumerate_kvccs on the labeled Graph,
+#: ``csr`` = enumerate_kvccs_csr on its CSR base with member-id leaves.
+ENTRIES = ("csr", "graph")
 
 #: Small, structurally diverse seeded graphs: overlap-heavy,
 #: partition-heavy, hub-heavy, and plain random-connected shapes.
@@ -58,29 +66,37 @@ GRAPH_CASES = {
 
 def _ordered_families(components):
     """The result as an ordered list of vertex tuples (order-sensitive)."""
-    return [tuple(sorted(c.vertices(), key=str)) for c in components]
+    return [
+        tuple(sorted(c if isinstance(c, list) else c.vertices(), key=str))
+        for c in components
+    ]
 
 
-def _run(graph, k, backend, workers):
+def _run(graph, k, workers, entry="graph"):
     stats = RunStats(k=k)
-    options = KVCCOptions(backend=backend, workers=workers)
-    components = enumerate_kvccs(graph, k, options, stats)
+    options = KVCCOptions(workers=workers)
+    if entry == "csr":
+        components = enumerate_kvccs_csr(
+            graph.to_csr(), k, options, stats, materialize=False
+        )
+    else:
+        components = enumerate_kvccs(graph, k, options, stats)
     return components, stats
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize("name", sorted(GRAPH_CASES))
-def test_serial_parallel_identical(name, backend):
+def test_serial_parallel_identical(name, entry):
     """Same family, same order, same counters for every k in 2..6."""
     graph = GRAPH_CASES[name]()
     for k in range(2, 7):
-        serial, s_stats = _run(graph, k, backend, workers=1)
-        parallel, p_stats = _run(graph, k, backend, workers=2)
+        serial, s_stats = _run(graph, k, 1, entry)
+        parallel, p_stats = _run(graph, k, 2, entry)
         assert _ordered_families(serial) == _ordered_families(parallel), (
-            f"{name} backend={backend} k={k}: order or family differs"
+            f"{name} entry={entry} k={k}: order or family differs"
         )
         assert s_stats.counters() == p_stats.counters(), (
-            f"{name} backend={backend} k={k}: counters differ"
+            f"{name} entry={entry} k={k}: counters differ"
         )
         # The parallel engine really ran every step through the pool.
         assert p_stats.parallel_tasks >= p_stats.kvccs_found
@@ -89,7 +105,7 @@ def test_serial_parallel_identical(name, backend):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_property_random_graphs(seed):
-    """Property check over the seeded random-graph family (CSR backend).
+    """Property check over the seeded random-graph family.
 
     For each seed: the parallel family equals the serial family as a
     set *and* element-for-element in order, k-VCCs are induced k-cores
@@ -97,8 +113,8 @@ def test_property_random_graphs(seed):
     """
     graph = random_connected_graph(30 + 3 * seed, 0.18 + 0.02 * seed, seed)
     for k in (2, 3, 4):
-        serial, s_stats = _run(graph, k, "csr", workers=1)
-        parallel, p_stats = _run(graph, k, "csr", workers=2)
+        serial, s_stats = _run(graph, k, workers=1)
+        parallel, p_stats = _run(graph, k, workers=2)
         assert vertex_set_family(serial) == vertex_set_family(parallel)
         assert _ordered_families(serial) == _ordered_families(parallel)
         assert s_stats.counters() == p_stats.counters()
@@ -125,7 +141,7 @@ def test_stats_mergeable_across_runs():
     total = RunStats()
     per_run = []
     for k in (3, 4, 5):
-        _, stats = _run(graph, k, "csr", workers=2)
+        _, stats = _run(graph, k, workers=2)
         per_run.append(stats)
         total.merge(stats)
     assert total.kvccs_found == sum(s.kvccs_found for s in per_run)
@@ -139,8 +155,8 @@ def test_stats_mergeable_across_runs():
 def test_workers_zero_auto_sizes():
     """workers=0 sizes the pool to the machine and still matches serial."""
     graph = ring_of_cliques(num_cliques=3, clique_size=5)
-    serial, _ = _run(graph, 4, "csr", workers=1)
-    parallel, stats = _run(graph, 4, "csr", workers=0)
+    serial, _ = _run(graph, 4, workers=1)
+    parallel, stats = _run(graph, 4, workers=0)
     assert _ordered_families(serial) == _ordered_families(parallel)
     assert stats.parallel_tasks > 0
 
@@ -257,19 +273,6 @@ class TestRunMany:
         assert ProcessPoolEngine(workers=2).run_many(
             [], 3, options, RunStats()
         ) == []
-
-    def test_pool_rejects_mixed_backends(self):
-        graph = ring_of_cliques(num_cliques=2, clique_size=5)
-        base = graph.to_csr()
-        options = KVCCOptions()
-        for works in (
-            [graph.copy(), base.full_view()],
-            [base.full_view(), graph.copy()],
-        ):
-            with pytest.raises(ValueError, match="mix"):
-                ProcessPoolEngine(workers=2).run_many(
-                    works, 3, options, RunStats()
-                )
 
     def test_pool_rejects_foreign_bases(self):
         graph = ring_of_cliques(num_cliques=2, clique_size=5)

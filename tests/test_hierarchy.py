@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.naive import naive_kvccs
 from repro.core.hierarchy import build_hierarchy, build_hierarchy_csr, vcc_number
 from repro.core.kvcc import kvcc_vertex_sets
 from repro.core.options import KVCCOptions
@@ -38,6 +39,26 @@ def hierarchy_shape(hierarchy):
             level.append((tuple(sorted(node.vertices, key=repr)), parent))
         shape[k] = sorted(level)
     return shape
+
+
+def oracle_shape(graph):
+    """:func:`hierarchy_shape` of the forest assembled from independent
+    per-k brute-force enumerations: each k-VCC's parent is the unique
+    (k-1)-VCC containing it."""
+    shape, previous, k = {}, None, 1
+    while True:
+        level = [frozenset(c) for c in naive_kvccs(graph, k)]
+        if not level:
+            return shape
+        rows = []
+        for comp in level:
+            parent = ()
+            if previous is not None:
+                (host,) = [p for p in previous if comp <= p]
+                parent = tuple(sorted(host, key=repr))
+            rows.append((tuple(sorted(comp, key=repr)), parent))
+        shape[k] = sorted(rows)
+        previous, k = level, k + 1
 
 
 class TestBuildHierarchy:
@@ -109,24 +130,26 @@ class TestBuildHierarchy:
 
 
 class TestHierarchyBackendParity:
-    """The CSR+engine construction equals the dict reference path."""
+    """The CSR+engine construction equals a forest assembled from the
+    brute-force oracle, level by level."""
 
     def test_random_graphs(self):
         for seed in range(8):
             g = gnp_random_graph(13, 0.4, seed=seed * 3)
-            h_csr = build_hierarchy(g)
-            h_dict = build_hierarchy(g, options=KVCCOptions(backend="dict"))
-            assert h_csr.max_k == h_dict.max_k, seed
-            assert hierarchy_shape(h_csr) == hierarchy_shape(h_dict), seed
-            assert h_csr.vcc_number_map() == h_dict.vcc_number_map(), seed
+            h = build_hierarchy(g)
+            want = oracle_shape(g)
+            assert h.max_k == max(want, default=0), seed
+            assert hierarchy_shape(h) == want, seed
+            assert h.vcc_number_map() == {
+                v: k for k, rows in want.items() for comp, _ in rows
+                for v in comp
+            }, seed
 
     def test_overlapping_components(self):
         g = overlapping_cliques_graph(
             clique_size=6, num_cliques=3, overlap=3
         )
-        h_csr = build_hierarchy(g)
-        h_dict = build_hierarchy(g, options=KVCCOptions(backend="dict"))
-        assert hierarchy_shape(h_csr) == hierarchy_shape(h_dict)
+        assert hierarchy_shape(build_hierarchy(g)) == oracle_shape(g)
 
     def test_parallel_engine_identical_nodes(self):
         """workers=2 produces byte-identical node order, not just the
@@ -152,9 +175,10 @@ class TestHierarchyBackendParity:
         assert stats.kvccs_found == len(direct)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
+        """There is one construction path: options carry no backend."""
+        with pytest.raises(TypeError, match="backend"):
             build_hierarchy(
-                complete_graph(4), options=KVCCOptions(backend="numpy")
+                complete_graph(4), options=KVCCOptions(backend="dict")
             )
 
 
@@ -166,7 +190,7 @@ class TestHierarchyEdgeCases:
             [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6), (6, 7)],
             vertices=[99],
         )
-        for options in (None, KVCCOptions(backend="dict")):
+        for options in (None, KVCCOptions(workers=2)):
             h = build_hierarchy(g, options=options)
             roots = h.roots()
             assert len(roots) == 3
@@ -181,7 +205,7 @@ class TestHierarchyEdgeCases:
         """Requesting levels above the graph's max is not an error; the
         forest simply stops where the components run out."""
         g = cycle_graph(6)  # max level 2
-        for options in (None, KVCCOptions(backend="dict")):
+        for options in (None, KVCCOptions(workers=2)):
             h = build_hierarchy(g, max_k=10, options=options)
             assert h.max_k == 2
             assert h.components_at(3) == []

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.hierarchy import build_hierarchy, vcc_number
 from repro.core.kvcc import kvcc_vertex_sets
-from repro.core.options import KVCCOptions
 from repro.graph.csr import VertexInterner
 from repro.graph.generators import (
     complete_graph,
@@ -84,19 +83,38 @@ class TestBuildIndex:
         assert index.max_k == 2
         assert index.nodes_at(3) == []
 
-    def test_from_hierarchy_dict_backend(self):
-        """The dict-built forest flattens to the same index."""
+    def test_from_hierarchy_order_independent(self):
+        """A forest whose levels list their components in another order
+        flattens to the same index."""
+        from repro.core.hierarchy import HierarchyNode, KVCCHierarchy
+
         g = ring_of_cliques(3, 4)
+        h = build_hierarchy(g)
+        # Reverse each level's nodes; levels stay in order, so every
+        # parent still precedes its children.
+        order = sorted(
+            range(len(h.nodes)), key=lambda i: (h.nodes[i].k, -i)
+        )
+        assert order != list(range(len(h.nodes)))
+        new_index = {old: new for new, old in enumerate(order)}
+        permuted = KVCCHierarchy(max_k=h.max_k)
+        for old in order:
+            node = h.nodes[old]
+            permuted.nodes.append(HierarchyNode(
+                k=node.k,
+                vertices=set(node.vertices),
+                parent=None if node.parent is None else new_index[node.parent],
+                children=[new_index[c] for c in node.children],
+            ))
         interner = VertexInterner(g.vertices())
-        h_dict = build_hierarchy(g, options=KVCCOptions(backend="dict"))
-        idx_dict = HierarchyIndex.from_hierarchy(h_dict, interner)
-        idx_csr = build_index(g)
-        assert idx_dict.vcc_numbers == idx_csr.vcc_numbers
-        for k in range(1, idx_csr.max_k + 1):
+        idx_perm = HierarchyIndex.from_hierarchy(permuted, interner)
+        idx = build_index(g)
+        assert idx_perm.vcc_numbers == idx.vcc_numbers
+        for k in range(1, idx.max_k + 1):
             assert vertex_set_family(
-                set(idx_dict.member_labels(n)) for n in idx_dict.nodes_at(k)
+                set(idx_perm.member_labels(n)) for n in idx_perm.nodes_at(k)
             ) == vertex_set_family(
-                set(idx_csr.member_labels(n)) for n in idx_csr.nodes_at(k)
+                set(idx.member_labels(n)) for n in idx.nodes_at(k)
             )
 
     def test_to_hierarchy_round_trip(self):

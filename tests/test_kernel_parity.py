@@ -245,7 +245,7 @@ class TestEndToEndParity:
         def run(_name):
             stats = RunStats(k=k)
             fam = vertex_set_family(
-                enumerate_kvccs(g, k, KVCCOptions(backend="csr"), stats)
+                enumerate_kvccs(g, k, KVCCOptions(), stats)
             )
             return fam, stats.counters()
 

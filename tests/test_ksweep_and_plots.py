@@ -1,5 +1,6 @@
 """Tests for the multi-k sweep API and the ASCII chart renderer."""
 
+import networkx as nx
 import pytest
 
 from repro.core.ksweep import enumerate_kvccs_sweep
@@ -61,19 +62,19 @@ class TestKSweep:
         assert sweep[4] == []
         assert sweep[5] == []
 
-    def test_backend_parity(self):
-        """The shared-CSR-base sweep equals the dict reference path."""
+    def test_levels_match_networkx(self):
+        """Every sweep level equals networkx's Moody-White k-components
+        (its level-k node sets of more than k vertices are the k-VCCs)."""
         for seed in range(6):
             g = gnp_random_graph(14, 0.4, seed=seed * 9 + 4)
-            csr = enumerate_kvccs_sweep(g, [1, 2, 3, 4])
-            ref = enumerate_kvccs_sweep(
-                g, [1, 2, 3, 4], options=KVCCOptions(backend="dict")
-            )
-            assert set(csr) == set(ref)
-            for k in csr:
-                assert vertex_set_family(csr[k]) == vertex_set_family(
-                    ref[k]
-                ), (seed, k)
+            sweep = enumerate_kvccs_sweep(g, [1, 2, 3, 4])
+            levels = nx.algorithms.connectivity.k_components(g.to_networkx())
+            assert set(sweep) == {1, 2, 3, 4}
+            for k in sweep:
+                want = {
+                    frozenset(c) for c in levels.get(k, []) if len(c) > k
+                }
+                assert vertex_set_family(sweep[k]) == want, (seed, k)
 
     def test_parallel_engine_identical(self):
         g = ring_of_cliques(4, 5)
@@ -86,13 +87,13 @@ class TestKSweep:
 
     def test_empty_ks_all_backends(self):
         g = complete_graph(4)
-        for options in (None, KVCCOptions(backend="dict")):
+        for options in (None, KVCCOptions(workers=2)):
             assert enumerate_kvccs_sweep(g, [], options=options) == {}
             assert enumerate_kvccs_sweep(g, iter(()), options=options) == {}
 
     def test_disconnected_k1(self):
         g = Graph([(0, 1), (2, 3), (3, 4), (4, 2)], vertices=[9])
-        for options in (None, KVCCOptions(backend="dict")):
+        for options in (None, KVCCOptions(workers=2)):
             sweep = enumerate_kvccs_sweep(g, [1, 2], options=options)
             assert vertex_set_family(sweep[1]) == vertex_set_family(
                 [{0, 1}, {2, 3, 4}]
@@ -109,9 +110,10 @@ class TestKSweep:
         assert stats.elapsed_seconds > 0
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
+        """There is one sweep path: options carry no backend."""
+        with pytest.raises(TypeError, match="backend"):
             enumerate_kvccs_sweep(
-                complete_graph(4), [2], options=KVCCOptions(backend="numpy")
+                complete_graph(4), [2], options=KVCCOptions(backend="dict")
             )
 
 

@@ -79,35 +79,51 @@ class TestStrongSideVertex:
         assert out == {0, 2}  # 99 not in graph -> skipped
 
 
+def parent_child_views(graph, child_labels):
+    """(parent, child) views on one base: the whole graph and the
+    subgraph induced by ``child_labels``, plus the label -> id map."""
+    base = graph.to_csr()
+    ids = base.interner
+    parent = base.full_view()
+    child = parent.restrict(ids[v] for v in child_labels)
+    return parent, child, ids
+
+
 class TestSplitInheritance:
     def test_unchanged_vertex_inherited(self):
-        parent = complete_graph(6)
-        child = parent.copy()
-        inherited, recheck = split_inheritance(parent, child, {0, 1})
-        assert inherited == {0, 1}
+        parent, child, ids = parent_child_views(complete_graph(6), range(6))
+        inherited, recheck = split_inheritance(
+            parent, child, {ids[0], ids[1]}
+        )
+        assert inherited == {ids[0], ids[1]}
         assert recheck == set()
 
     def test_vertex_missing_from_child_dropped(self):
-        parent = complete_graph(6)
-        child = parent.induced_subgraph([0, 1, 2])
-        inherited, recheck = split_inheritance(parent, child, {0, 5})
-        assert 5 not in inherited | recheck
+        parent, child, ids = parent_child_views(complete_graph(6), [0, 1, 2])
+        inherited, recheck = split_inheritance(
+            parent, child, {ids[0], ids[5]}
+        )
+        assert ids[5] not in inherited | recheck
 
     def test_degree_change_triggers_recheck(self):
-        parent = complete_graph(6)
-        child = parent.induced_subgraph([0, 1, 2, 3, 4])
-        inherited, recheck = split_inheritance(parent, child, {0})
+        parent, child, ids = parent_child_views(
+            complete_graph(6), [0, 1, 2, 3, 4]
+        )
+        inherited, recheck = split_inheritance(parent, child, {ids[0]})
         assert inherited == set()
-        assert recheck == {0}
+        assert recheck == {ids[0]}
 
     def test_neighbor_degree_change_triggers_recheck(self):
         # Path 0-1-2-3 plus edge 1-4: removing 4 keeps deg(0..3) intact
         # except deg(1).  Vertex 0's neighbor (1) changed -> recheck.
-        parent = Graph([(0, 1), (1, 2), (2, 3), (1, 4)])
-        child = parent.induced_subgraph([0, 1, 2, 3])
-        inherited, recheck = split_inheritance(parent, child, {0, 3})
-        assert 0 in recheck
-        assert 3 in inherited  # 3's neighbor 2 is untouched
+        parent, child, ids = parent_child_views(
+            Graph([(0, 1), (1, 2), (2, 3), (1, 4)]), [0, 1, 2, 3]
+        )
+        inherited, recheck = split_inheritance(
+            parent, child, {ids[0], ids[3]}
+        )
+        assert ids[0] in recheck
+        assert ids[3] in inherited  # 3's neighbor 2 is untouched
 
     def test_inherited_vertices_really_strong(self):
         """Soundness: every inherited vertex passes Theorem 8 in the child."""
@@ -116,14 +132,15 @@ class TestSplitInheritance:
         from repro.core.options import KVCCOptions
 
         for seed in range(10):
-            g = random_connected_graph(12, 0.4, seed=seed + 10)
+            graph = random_connected_graph(12, 0.4, seed=seed + 10)
+            view = graph.to_csr().full_view()
             k = 3
-            strong = strong_side_vertices(g, k)
-            cut = global_cut(g, k, KVCCOptions())
+            strong = strong_side_vertices(view, k)
+            cut = global_cut(view, k, KVCCOptions())
             if cut is None:
                 continue
-            for child in overlap_partition(g, cut):
-                inherited, _ = split_inheritance(g, child, strong)
+            for child in overlap_partition(view, cut):
+                inherited, _ = split_inheritance(view, child, strong)
                 for v in inherited:
                     assert is_strong_side_vertex(child, v, k)
 
